@@ -49,8 +49,8 @@ import threading
 import time
 from pathlib import Path
 
-from repro.apps.suite import APPLICATIONS, get_application
-from repro.machines.registry import get_machine
+from repro.scenarios import get_machine
+from repro.scenarios.builtin import builtin_applications
 from repro.serve.frontend import FleetServer
 from repro.util.io import write_atomic
 
@@ -67,8 +67,7 @@ def _point_paths() -> list[str]:
     """The point-leg working set: every eligible (application, cpus) row."""
     paths = []
     machine_cpus = get_machine(POINT_MACHINE).cpus
-    for label in APPLICATIONS:
-        app = get_application(label)
+    for label, app in builtin_applications().items():
         for cpus in app.cpu_counts:
             if cpus > machine_cpus:
                 continue  # the paper leaves such cells blank

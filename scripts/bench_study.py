@@ -62,7 +62,7 @@ import tempfile
 import time
 from pathlib import Path
 
-from repro.apps.suite import APPLICATIONS
+from repro.scenarios.builtin import builtin_applications
 from repro.study.runner import StudyConfig, clear_study_caches, run_study
 from repro.util.io import write_atomic
 
@@ -85,7 +85,7 @@ def scaled_config(scale: int) -> StudyConfig:
     """The paper matrix, replicated ``scale``x along the application axis."""
     if scale <= 1:
         return StudyConfig()
-    base = tuple(APPLICATIONS)
+    base = tuple(builtin_applications())
     labels = list(base)
     for k in range(1, scale):
         labels.extend(f"{label}@{k}" for label in base)

@@ -26,8 +26,9 @@ engine / sim / cli) — except the sensitivity module, which *orchestrates*
 studies and is whitelisted for exactly one edge.  Conversely the scenario
 *builder* modules (``repro.machines.registry``, ``repro.apps.suite``) are
 frozen data: only the catalog's builtin snapshot and the two package
-deprecation shims may import them; everyone else resolves ids through
-``repro.scenarios`` and therefore sees mounted universes too.
+``__init__`` modules that re-export their constants and factories may
+import them; everyone else resolves ids through ``repro.scenarios`` and
+therefore sees mounted universes too.
 
 Every ``import``/``from`` statement is checked, *including* ones nested
 inside functions — a lazy import is still a dependency edge; laziness
@@ -41,6 +42,11 @@ through the injectable :class:`repro.util.clock.Clock` seam, or the
 deterministic simulation harness cannot put it on virtual time.
 ``time.perf_counter`` stays allowed: it only *measures* wall cost for
 diagnostics and never steers control flow.
+
+A third pass lints **environment reads**: no module under ``src/`` may
+touch ``os.environ``/``os.getenv`` (or import those names from
+:mod:`os`).  Deployment settings are CLI flags, so every knob is
+visible in ``--help`` and in the command line that ran a study.
 
 Run from the repository root (CI does)::
 
@@ -106,8 +112,8 @@ ALLOWED: frozenset[tuple[str, str]] = frozenset(
 BUILDER_MODULES: tuple[str, ...] = ("repro.machines.registry", "repro.apps.suite")
 
 #: The only modules allowed to import the builders: the catalog's
-#: builtin snapshot, and the two package shims that deprecate the old
-#: module-level dicts.
+#: builtin snapshot, and the two package ``__init__`` modules that
+#: re-export the builders' constants and factories.
 BUILDER_IMPORTERS: frozenset[str] = frozenset(
     {
         "repro.scenarios.builtin",
@@ -123,6 +129,12 @@ BANNED_TIME_CALLS: frozenset[str] = frozenset({"time", "monotonic", "sleep"})
 
 #: The one module allowed to touch :mod:`time` directly.
 CLOCK_MODULE = "repro.util.clock"
+
+#: ``os`` attributes that read the process environment; banned everywhere
+#: under ``src/`` (settings are CLI flags, not environment variables).
+BANNED_ENV_READS: frozenset[str] = frozenset(
+    {"environ", "environb", "getenv", "getenvb"}
+)
 
 
 def module_name(path: Path) -> str:
@@ -156,13 +168,15 @@ def imports_of(path: Path) -> list[tuple[int, str]]:
     return found
 
 
-def time_calls_of(path: Path) -> list[tuple[int, str]]:
-    """Banned direct time usages in ``path`` as (line, description).
+def banned_uses_of(
+    path: Path, module: str, names: frozenset[str]
+) -> list[tuple[int, str]]:
+    """Uses of ``module.<name>`` for banned ``names`` in ``path``.
 
-    Flags ``time.time``/``time.monotonic``/``time.sleep`` attribute
-    access (call or reference — storing ``time.monotonic`` as a default
-    is still a direct dependency) and ``from time import ...`` of those
-    names.  ``time.perf_counter`` and everything else pass.
+    Returns (line, description) pairs.  Flags attribute access (call or
+    reference — storing ``time.monotonic`` as a default is still a
+    direct dependency) and ``from <module> import`` of those names or
+    ``*``.
     """
     tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
     found: list[tuple[int, str]] = []
@@ -170,14 +184,14 @@ def time_calls_of(path: Path) -> list[tuple[int, str]]:
         if (
             isinstance(node, ast.Attribute)
             and isinstance(node.value, ast.Name)
-            and node.value.id == "time"
-            and node.attr in BANNED_TIME_CALLS
+            and node.value.id == module
+            and node.attr in names
         ):
-            found.append((node.lineno, f"time.{node.attr}"))
-        elif isinstance(node, ast.ImportFrom) and node.module == "time" and not node.level:
+            found.append((node.lineno, f"{module}.{node.attr}"))
+        elif isinstance(node, ast.ImportFrom) and node.module == module and not node.level:
             for alias in node.names:
-                if alias.name in BANNED_TIME_CALLS or alias.name == "*":
-                    found.append((node.lineno, f"from time import {alias.name}"))
+                if alias.name in names or alias.name == "*":
+                    found.append((node.lineno, f"from {module} import {alias.name}"))
     return found
 
 
@@ -187,11 +201,23 @@ def check_time_usage() -> list[str]:
         mod = module_name(path)
         if mod == CLOCK_MODULE:
             continue
-        for line, usage in time_calls_of(path):
+        for line, usage in banned_uses_of(path, "time", BANNED_TIME_CALLS):
             violations.append(
                 f"{path.relative_to(SRC.parent)}:{line}: "
                 f"{mod} uses {usage} directly "
                 f"(go through repro.util.clock.Clock)"
+            )
+    return violations
+
+
+def check_env_reads() -> list[str]:
+    violations: list[str] = []
+    for path in sorted(SRC.rglob("*.py")):
+        for line, usage in banned_uses_of(path, "os", BANNED_ENV_READS):
+            violations.append(
+                f"{path.relative_to(SRC.parent)}:{line}: "
+                f"{module_name(path)} reads the environment via {usage} "
+                f"(make the setting a CLI flag)"
             )
     return violations
 
@@ -240,7 +266,9 @@ def check_builder_imports() -> list[str]:
 
 
 def main() -> int:
-    violations = check() + check_builder_imports() + check_time_usage()
+    violations = (
+        check() + check_builder_imports() + check_time_usage() + check_env_reads()
+    )
     for v in violations:
         print(v, file=sys.stderr)
     if violations:
@@ -249,7 +277,7 @@ def main() -> int:
             file=sys.stderr,
         )
         return 1
-    print("check_layering: import boundaries and time usage clean")
+    print("check_layering: import boundaries, time usage and environment reads clean")
     return 0
 
 

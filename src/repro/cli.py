@@ -12,8 +12,8 @@ Subcommands regenerate the paper's artifacts on the terminal:
 * ``all`` — everything above;
 * ``csv`` — raw prediction records as CSV on stdout;
 * ``serve`` — the resilient online prediction service (HTTP);
-* ``store migrate`` / ``store info`` — cache-directory maintenance
-  (rewrite legacy JSON entries as binary; print format/entry counts);
+* ``store info`` — cache-directory maintenance (print the binary format
+  version, entry counts and bytes);
 * ``events tail`` / ``events verify`` / ``events rebuild`` — event-log
   audit: print the newest events, fsck every writer stream, or
   reconstruct the projection views from the raw log alone;
@@ -217,31 +217,17 @@ def _serve_fleet(args, faults) -> int:
     return 0
 
 
-def _store_action(action: str, cache_dir: str) -> int:
-    """Cache-directory maintenance: ``store migrate`` / ``store info``."""
+def _store_info(cache_dir: str) -> int:
+    """Cache-directory maintenance: ``store info``."""
     from repro.tracing.store import TraceStore
 
-    store = TraceStore(cache_dir)
-    if action == "migrate":
-        report = store.migrate()
-        print(
-            f"repro-study: store migrate {cache_dir}: "
-            f"{report['migrated']} entr{'y' if report['migrated'] == 1 else 'ies'} "
-            f"converted to binary, {report['cleaned']} stale legacy file(s) "
-            f"removed, {report['invalidated']} corrupt entr"
-            f"{'y' if report['invalidated'] == 1 else 'ies'} invalidated"
-        )
-        return 0
-    stats = store.stats()
+    stats = TraceStore(cache_dir).stats()
     print(f"cache directory : {stats['root']}")
     print(f"binary format   : v{stats['binary_format_version']}")
     print(f"payload schema  : v{stats['payload_schema_version']}")
     for kind in ("traces", "probes"):
         row = stats[kind]
-        print(
-            f"{kind:15s} : {row['binary']} binary, "
-            f"{row['legacy_json']} legacy JSON, {row['bytes']} bytes"
-        )
+        print(f"{kind:15s} : {row['binary']} binary, {row['bytes']} bytes")
     return 0
 
 
@@ -640,7 +626,6 @@ def _run(argv: list[str] | None) -> int:
     parser.add_argument(
         "action",
         choices=[
-            "migrate",
             "info",
             "tail",
             "verify",
@@ -655,9 +640,8 @@ def _run(argv: list[str] | None) -> int:
         ],
         nargs="?",
         default=None,
-        help="with 'store': 'migrate' rewrites a JSON-era cache dir to the "
-        "binary format in place (atomic, resumable); 'info' prints format "
-        "version, entry counts and bytes (requires --cache-dir); with "
+        help="with 'store': 'info' prints format version, entry counts "
+        "and bytes (requires --cache-dir); with "
         "'events': 'tail' prints the newest events as JSON lines, 'verify' "
         "fscks every writer stream (exit 13 on damage), 'rebuild' "
         "reconstructs the projection views from the raw log (requires "
@@ -947,11 +931,11 @@ def _run(argv: list[str] | None) -> int:
             parser.error(f"--universe: {exc}")
 
     if args.artifact == "store":
-        if args.action not in ("migrate", "info"):
-            parser.error("store: expected an action ('migrate' or 'info')")
+        if args.action != "info":
+            parser.error("store: expected an action ('info')")
         if args.cache_dir is None:
             parser.error("store: --cache-dir is required")
-        return _store_action(args.action, args.cache_dir)
+        return _store_info(args.cache_dir)
     if args.artifact == "events":
         if args.action not in ("tail", "verify", "rebuild"):
             parser.error(

@@ -79,7 +79,7 @@ class StudyAbortedError(ReproError):
 
 
 class CheckpointError(ReproError):
-    """A checkpoint file could not be written."""
+    """A checkpoint could not be used: unwritable, or not a journal directory."""
 
     exit_code = 7
 

@@ -14,7 +14,6 @@ declarative registry, so Table 3 numbers, registry names (``"balanced"``,
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass
 
 from repro.apps.model import ApplicationModel
@@ -181,21 +180,3 @@ class PerformancePredictor:
         keys = tuple(ALL_METRICS) if metrics is None else tuple(metrics)
         plan = self._plan(app, machine, cpus, next(iter(ALL_METRICS.values())))
         return self._engine.run_row(plan, keys)
-
-    def predict_all_metrics(
-        self, app: ApplicationModel | str, machine: MachineSpec | str, cpus: int
-    ) -> dict[int, float]:
-        """Deprecated alias of :meth:`predict_row` (all Table 3 metrics).
-
-        .. deprecated:: 1.0
-            The twin entry points ``core.metrics.predict_all`` and this
-            method drifted apart once each hand-rolled its own pipeline;
-            :meth:`predict_row` is the single registry-driven path.
-        """
-        warnings.warn(
-            "PerformancePredictor.predict_all_metrics is deprecated; "
-            "use predict_row (same values, shared rate-table pipeline)",
-            DeprecationWarning,
-            stacklevel=2,
-        )
-        return self.predict_row(app, machine, cpus)

@@ -212,9 +212,8 @@ class Engine:
         """All given metrics for one query, sharing probe/trace/rate work.
 
         The canonical many-metrics path (:func:`~repro.core.metrics.predict_all`
-        shares one rate table across every predictive metric); the
-        deprecated ``PerformancePredictor.predict_all_metrics`` alias
-        delegates here.
+        shares one rate table across every predictive metric);
+        ``PerformancePredictor.predict_row`` delegates here.
         """
         metric_objs = resolve_metrics(metrics)
         probe = plan.probe

@@ -14,14 +14,10 @@ they are *models*, standing in for hardware we do not have (see DESIGN.md §2).
 
 Id resolution lives in the scenario catalog (:mod:`repro.scenarios`):
 :func:`get_machine` / :func:`list_machines` here delegate to it, so a
-mounted universe's machines resolve through this module too.  The
-module-level ``MACHINES`` dict is deprecated — accessing it warns and
-returns a catalog snapshot; new code should import the catalog directly.
+mounted universe's machines resolve through this module too.
 """
 
 from __future__ import annotations
-
-import warnings
 
 from repro.machines.registry import BASE_SYSTEM, TARGET_SYSTEMS
 from repro.machines.spec import (
@@ -36,7 +32,6 @@ __all__ = [
     "MemoryLevelSpec",
     "NetworkSpec",
     "ProcessorSpec",
-    "MACHINES",
     "TARGET_SYSTEMS",
     "BASE_SYSTEM",
     "get_machine",
@@ -56,18 +51,3 @@ def list_machines() -> list[str]:
     from repro.scenarios import list_machines as loaded
 
     return list(loaded())
-
-
-def __getattr__(name: str):
-    if name == "MACHINES":
-        warnings.warn(
-            "repro.machines.MACHINES is deprecated: resolve ids through "
-            "repro.scenarios (get_machine / CATALOG.machine_map()), which "
-            "also sees mounted universes",
-            DeprecationWarning,
-            stacklevel=2,
-        )
-        from repro.scenarios import CATALOG
-
-        return CATALOG.machine_map()
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

@@ -1,7 +1,9 @@
 """The frozen built-in catalog: the paper's own machines and applications.
 
-This is the *only* module in the package allowed to import the legacy
-builders (:mod:`repro.machines.registry`, :mod:`repro.apps.suite`) —
+Apart from the ``repro.machines``/``repro.apps`` package ``__init__``
+modules (which re-export their constants and factories), this is the only
+module in the package allowed to import the builders
+(:mod:`repro.machines.registry`, :mod:`repro.apps.suite`) —
 ``scripts/check_layering.py`` enforces that.  It freezes their output into
 plain data the catalog serves:
 

@@ -94,11 +94,6 @@ class AdmissionQueue:
         self.admitted_total = 0
         self.shed_total = 0
 
-    @property
-    def _ewma_seconds(self) -> float:
-        """Back-compat view of the shared estimator's current value."""
-        return self._ewma.seconds
-
     # ------------------------------------------------------------------
     def retry_after_estimate(self) -> float:
         """Suggested client back-off: backlog ahead x EWMA service time."""

@@ -41,20 +41,16 @@ import socket
 import threading
 from concurrent.futures import ThreadPoolExecutor
 
-from repro.core.errors import (
-    OverloadedError,
-    ReproError,
-    ServiceUnavailableError,
-    UnknownIdError,
-)
+from repro.core.errors import OverloadedError, ServiceUnavailableError
 from repro.events.types import Event, WorkerDied, WorkerRespawned
 from repro.scenarios import BASE_SYSTEM
 from repro.serve.admission import AdmissionQueue, ServiceTimeEwma
+from repro.serve.service import error_payload
 from repro.serve.shard import DEFAULT_VNODES, ShardRing
 from repro.tracing.metasim import DEFAULT_SAMPLE_SIZE
 from repro.tracing.store import trace_key
 
-__all__ = ["Fleet", "WorkerHandle", "error_payload"]
+__all__ = ["Fleet", "WorkerHandle"]
 
 log = logging.getLogger(__name__)
 
@@ -79,59 +75,6 @@ def _recv_exact(rfile, n: int) -> bytes | None:
     if data is None or len(data) < n:
         return None  # EOF: the peer is gone
     return data
-
-
-# ---------------------------------------------------------------------------
-# error mapping (shared by worker replies and the front end's own rejects)
-# ---------------------------------------------------------------------------
-def error_payload(exc: BaseException) -> dict:
-    """One exception → the HTTP-shaped ``{status, body, retry_after}``.
-
-    The same taxonomy mapping the single-process HTTP layer applies,
-    expressed as data so it can cross the worker/front-end boundary in a
-    frame: invalid ids 400, shed 429, every-rung-failed 503, any other
-    taxonomy error a structured 500 — never a traceback page.
-    """
-    if isinstance(exc, UnknownIdError):
-        return {
-            "status": 400,
-            "body": {
-                "error": "UnknownId",
-                "message": str(exc),
-                "kind": exc.kind,
-                "value": str(exc.value),
-                "known": list(exc.known),
-                "nearest": list(exc.nearest),
-            },
-        }
-    if isinstance(exc, (ValueError, TypeError)):
-        return {"status": 400, "body": {"error": "BadParameter", "message": str(exc)}}
-    if isinstance(exc, OverloadedError):
-        return {
-            "status": 429,
-            "body": {
-                "error": "Overloaded",
-                "message": str(exc),
-                "retry_after_seconds": exc.retry_after,
-            },
-            "retry_after": exc.retry_after,
-        }
-    if isinstance(exc, ServiceUnavailableError):
-        return {
-            "status": 503,
-            "body": {
-                "error": "ServiceUnavailable",
-                "message": str(exc),
-                "retry_after_seconds": exc.retry_after,
-            },
-            "retry_after": exc.retry_after,
-        }
-    if isinstance(exc, ReproError):
-        return {
-            "status": 500,
-            "body": {"error": type(exc).__name__, "message": str(exc)},
-        }
-    return {"status": 500, "body": {"error": type(exc).__name__, "message": str(exc)}}
 
 
 # ---------------------------------------------------------------------------
@@ -258,8 +201,18 @@ def _handle_frame(service, worker_id: str, msg: dict, reply) -> None:
         reply({"id": rid, "ok": False, **error_payload(exc)})
 
 
-def _worker_main(sock: socket.socket, worker_id: str, config: dict) -> None:
-    """Entry point of one engine worker process."""
+def _worker_main(
+    sock: socket.socket, worker_id: str, config: dict, inherited=()
+) -> None:
+    """Entry point of one engine worker process.
+
+    ``inherited`` are the front end's ends of every worker socketpair a
+    forked child holds copies of (its own and its older siblings').
+    They are closed first: while any copy stays open, the peer's read
+    never sees EOF, and EOF is the orderly shutdown signal.
+    """
+    for parent_end in inherited:
+        parent_end.close()
     # The front end owns Ctrl-C; a worker must only exit on socket EOF
     # (orderly shutdown), a graceful SIGTERM, or a kill (chaos /
     # supervisor restart).
@@ -495,9 +448,12 @@ class Fleet:
 
     async def _launch(self, name: str) -> None:
         parent_sock, child_sock = socket.socketpair()
+        inherited = ()
+        if self._ctx.get_start_method() == "fork":
+            inherited = (parent_sock, *(h._sock for h in self.workers.values()))
         proc = self._ctx.Process(
             target=_worker_main,
-            args=(child_sock, name, self.config),
+            args=(child_sock, name, self.config, inherited),
             name=f"repro-fleet-{name}",
             daemon=True,
         )
@@ -580,6 +536,10 @@ class Fleet:
             except (OSError, ValueError):
                 pass
             handle.close()  # EOF on the socket is the shutdown signal
+            handle.fail_pending(OverloadedError("fleet stopping", retry_after=1.0))
+        # Let the loop run the transport closes scheduled above: until
+        # then the sockets are still open and no worker sees EOF.
+        await asyncio.sleep(0)
         for handle in self.workers.values():
             handle.proc.join(timeout=2.0)
             if handle.proc.is_alive():

@@ -13,8 +13,10 @@ Routes:
     ring, so the owning worker answers from a warm cache; identical
     concurrent requests are collapsed by
     :class:`~repro.serve.coalesce.SingleFlight` into one worker call,
-    followers stamped ``coalesced: true``.  Status mapping is identical
-    to the single-process server: 400 structured validation errors,
+    followers stamped ``coalesced: true``.  Query parsing and status
+    mapping are the single-process server's own
+    (:func:`~repro.serve.service.parse_point_query`,
+    :func:`~repro.serve.service.error_payload`): 400 structured errors,
     429 + ``Retry-After`` on shed (including a worker dying mid-request),
     503 when every ladder rung failed — never a traceback page.
 
@@ -68,8 +70,14 @@ from repro.events.projections import ProjectionEngine
 from repro.scenarios import CATALOG, TARGET_SYSTEMS, get_application
 from repro.scenarios.builtin import builtin_applications
 from repro.serve.coalesce import SingleFlight
-from repro.serve.fleet import Fleet, error_payload
-from repro.serve.service import DEFAULT_DEADLINE_SECONDS, validate_query
+from repro.serve.fleet import Fleet
+from repro.serve.service import (
+    DEFAULT_DEADLINE_SECONDS,
+    catalog_doc,
+    error_payload,
+    parse_point_query,
+    validate_query,
+)
 from repro.util.validation import nearest_ids
 
 __all__ = ["FleetFrontend", "FleetServer"]
@@ -96,6 +104,12 @@ def _study_metrics() -> tuple[int, ...]:
     return tuple(spec.number for spec in REGISTRY.table3())
 
 
+def _error_response(exc: BaseException):
+    """``(status, body, retry_after)`` for ``exc`` via the shared mapping."""
+    mapped = error_payload(exc)
+    return mapped["status"], mapped["body"], mapped.get("retry_after")
+
+
 class FleetFrontend:
     """Route, coalesce and merge requests over one :class:`Fleet`."""
 
@@ -108,6 +122,8 @@ class FleetFrontend:
         self.batch_cells_total = 0
         self.batch_reroutes_total = 0
         self._server: asyncio.AbstractServer | None = None
+        #: Open client connections -> the task serving each one.
+        self._connections: dict[asyncio.StreamWriter, asyncio.Task] = {}
         self.address: tuple[str, int] | None = None
 
     # ------------------------------------------------------------------
@@ -122,11 +138,21 @@ class FleetFrontend:
         return self.address
 
     async def stop(self) -> None:
+        # Stop accepting, then close every client connection: an idle
+        # keep-alive handler reads EOF, a mid-request one finds a dead
+        # transport, and stopping the fleet fails its in-flight worker
+        # calls, so every handler returns normally instead of being
+        # cancelled when the loop ends.
         if self._server is not None:
             self._server.close()
+        for writer in list(self._connections):
+            writer.close()
+        if self._server is not None:
             await self._server.wait_closed()
             self._server = None
         await self.fleet.stop()
+        if self._connections:
+            await asyncio.wait(list(self._connections.values()))
 
     # ------------------------------------------------------------------
     # HTTP/1.1 framing
@@ -134,6 +160,7 @@ class FleetFrontend:
     async def _handle_connection(
         self, reader: asyncio.StreamReader, writer: asyncio.StreamWriter
     ) -> None:
+        self._connections[writer] = asyncio.current_task()
         try:
             while True:
                 request = await self._read_request(reader)
@@ -158,6 +185,7 @@ class FleetFrontend:
         ):
             pass  # client went away; nothing to answer
         finally:
+            del self._connections[writer]
             try:
                 writer.close()
             except OSError:
@@ -223,8 +251,6 @@ class FleetFrontend:
             if method == "GET" and url.path == "/events/stats":
                 return 200, await self._events_stats(), None
             if method == "GET" and url.path == "/catalog":
-                from repro.serve.service import catalog_doc
-
                 return 200, catalog_doc(), None
             return (
                 404,
@@ -243,68 +269,27 @@ class FleetFrontend:
                 None,
             )
         except Exception as exc:  # last-resort guard: JSON, never a traceback
-            mapped = error_payload(exc)
-            return mapped["status"], mapped["body"], mapped.get("retry_after")
+            return _error_response(exc)
 
     # ------------------------------------------------------------------
     # GET /predict
     # ------------------------------------------------------------------
     async def _predict(self, query: dict[str, str]):
-        missing = [k for k in ("application", "cpus", "machine") if k not in query]
-        if missing:
-            return (
-                400,
-                {
-                    "error": "MissingParameter",
-                    "message": f"missing query parameter(s): {', '.join(missing)}",
-                    "required": ["application", "cpus", "machine"],
-                    "optional": ["metric", "deadline_ms"],
-                },
-                None,
-            )
-        try:
-            cpus = int(query["cpus"])
-        except ValueError:
-            return (
-                400,
-                {
-                    "error": "BadParameter",
-                    "message": f"cpus must be an integer, got {query['cpus']!r}",
-                },
-                None,
-            )
-        deadline_ms = None
-        if "deadline_ms" in query:
-            try:
-                deadline_ms = float(query["deadline_ms"])
-            except ValueError:
-                return (
-                    400,
-                    {
-                        "error": "BadParameter",
-                        "message": (
-                            f"deadline_ms must be a number, got "
-                            f"{query['deadline_ms']!r}"
-                        ),
-                    },
-                    None,
-                )
         try:
             # Reject malformed traffic here, before any worker round-trip,
             # with exactly the in-process service's errors.
+            q = parse_point_query(query)
             app, _target, cpus, metric_num = validate_query(
-                query["application"], cpus, query["machine"], query.get("metric", 9)
+                q.application, q.cpus, q.machine, q.metric
             )
         except (UnknownIdError, ValueError, TypeError) as exc:
-            mapped = error_payload(exc)
-            return mapped["status"], mapped["body"], mapped.get("retry_after")
+            return _error_response(exc)
 
         self.requests_total += 1
-        machine = query["machine"]
         budget = (
-            self.default_deadline if deadline_ms is None else deadline_ms / 1000.0
+            self.default_deadline if q.deadline_ms is None else q.deadline_ms / 1000.0
         )
-        key = (app.label, cpus, machine, metric_num)
+        key = (app.label, cpus, q.machine, metric_num)
 
         async def leader_call():
             worker = self.fleet.owner_of(app.label, cpus)
@@ -313,9 +298,9 @@ class FleetFrontend:
                 {
                     "application": app.label,
                     "cpus": cpus,
-                    "machine": machine,
+                    "machine": q.machine,
                     "metric": metric_num,
-                    "deadline_ms": deadline_ms,
+                    "deadline_ms": q.deadline_ms,
                 },
                 timeout=budget + _FRAME_TIMEOUT_MARGIN,
             )
@@ -323,9 +308,8 @@ class FleetFrontend:
 
         try:
             response, coalesced = await self.coalescer.run(key, leader_call)
-        except (OverloadedError,) as exc:
-            mapped = error_payload(exc)
-            return mapped["status"], mapped["body"], mapped.get("retry_after")
+        except OverloadedError as exc:
+            return _error_response(exc)
         if not response.get("ok", False):
             return (
                 response.get("status", 500),
@@ -418,8 +402,7 @@ class FleetFrontend:
         try:
             rows, systems, metrics, wanted, deadline_ms = self._compile_batch(body)
         except (UnknownIdError, ValueError, TypeError) as exc:
-            mapped = error_payload(exc)
-            return mapped["status"], mapped["body"], mapped.get("retry_after")
+            return _error_response(exc)
         self.batch_requests_total += 1
         if not rows or not systems or not metrics:
             return 200, {"count": 0, "records": [], "workers": {}}, None
@@ -463,8 +446,7 @@ class FleetFrontend:
                 *(run_shard(shard_rows) for shard_rows in shards.values())
             )
         except OverloadedError as exc:
-            mapped = error_payload(exc)
-            return mapped["status"], mapped["body"], mapped.get("retry_after")
+            return _error_response(exc)
         worker_counts: dict[str, int] = {}
         merged: list[list] = []
         for worker_name, response in shard_results:

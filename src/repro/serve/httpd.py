@@ -6,8 +6,9 @@ dependencies, one thread per connection feeding the service's own
 admission queue:
 
 ``GET /predict?application=..&cpus=..&machine=..[&metric=9][&deadline_ms=..]``
-    One prediction.  Always JSON; the resilient error mapping is the
-    whole point:
+    One prediction.  Always JSON; the resilient error mapping
+    (:func:`~repro.serve.service.error_payload`, shared with the fleet
+    front end) is the whole point:
 
     * invalid ids → **400** with the known set and nearest matches,
       never a traceback;
@@ -43,13 +44,13 @@ import json
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from urllib.parse import parse_qsl, urlsplit
 
-from repro.core.errors import (
-    OverloadedError,
-    ReproError,
-    ServiceUnavailableError,
-    UnknownIdError,
+from repro.serve.service import (
+    PredictionService,
+    ServedPrediction,
+    catalog_doc,
+    error_payload,
+    parse_point_query,
 )
-from repro.serve.service import PredictionService, catalog_doc
 
 __all__ = ["PredictionHTTPServer", "make_server"]
 
@@ -75,10 +76,10 @@ class _Handler(BaseHTTPRequestHandler):
     # ------------------------------------------------------------------
     def do_GET(self) -> None:  # noqa: N802 (stdlib handler naming)
         url = urlsplit(self.path)
-        query = dict(parse_qsl(url.query))
         try:
             if url.path == "/predict":
-                self._predict(query)
+                served = self._predict(dict(parse_qsl(url.query)))
+                self._json(200, served.to_dict())
             elif url.path == "/healthz":
                 self._json(200, self.server.service.health())
             elif url.path == "/readyz":
@@ -103,100 +104,22 @@ class _Handler(BaseHTTPRequestHandler):
                         ],
                     },
                 )
-        except Exception as exc:  # last-resort guard: still JSON, never a traceback page
+        except Exception as exc:  # the shared mapping: JSON, never a traceback page
+            mapped = error_payload(exc)
             self._json(
-                500, {"error": type(exc).__name__, "message": str(exc)}
+                mapped["status"], mapped["body"], retry_after=mapped.get("retry_after")
             )
 
     # ------------------------------------------------------------------
-    def _predict(self, query: dict[str, str]) -> None:
-        missing = [k for k in ("application", "cpus", "machine") if k not in query]
-        if missing:
-            self._json(
-                400,
-                {
-                    "error": "MissingParameter",
-                    "message": f"missing query parameter(s): {', '.join(missing)}",
-                    "required": ["application", "cpus", "machine"],
-                    "optional": ["metric", "deadline_ms"],
-                },
-            )
-            return
-        try:
-            cpus = int(query["cpus"])
-        except ValueError:
-            self._json(
-                400,
-                {
-                    "error": "BadParameter",
-                    "message": f"cpus must be an integer, got {query['cpus']!r}",
-                },
-            )
-            return
-        deadline_seconds = None
-        if "deadline_ms" in query:
-            try:
-                deadline_seconds = float(query["deadline_ms"]) / 1000.0
-            except ValueError:
-                self._json(
-                    400,
-                    {
-                        "error": "BadParameter",
-                        "message": (
-                            f"deadline_ms must be a number, got "
-                            f"{query['deadline_ms']!r}"
-                        ),
-                    },
-                )
-                return
-        try:
-            served = self.server.service.predict(
-                query["application"],
-                cpus,
-                query["machine"],
-                query.get("metric", 9),
-                deadline_seconds=deadline_seconds,
-            )
-        except UnknownIdError as exc:
-            self._json(
-                400,
-                {
-                    "error": "UnknownId",
-                    "message": str(exc),
-                    "kind": exc.kind,
-                    "value": str(exc.value),
-                    "known": list(exc.known),
-                    "nearest": list(exc.nearest),
-                },
-            )
-        except ValueError as exc:
-            self._json(400, {"error": "BadParameter", "message": str(exc)})
-        except OverloadedError as exc:
-            self._json(
-                429,
-                {
-                    "error": "Overloaded",
-                    "message": str(exc),
-                    "retry_after_seconds": exc.retry_after,
-                },
-                retry_after=exc.retry_after,
-            )
-        except ServiceUnavailableError as exc:
-            self._json(
-                503,
-                {
-                    "error": "ServiceUnavailable",
-                    "message": str(exc),
-                    "retry_after_seconds": exc.retry_after,
-                },
-                retry_after=exc.retry_after,
-            )
-        except ReproError as exc:
-            # A taxonomy error that escaped the ladder (should be rare):
-            # surface it as a structured 500, never a stack trace.
-            self._json(500, {"error": type(exc).__name__, "message": str(exc)})
-        else:
-            self._json(200, served.to_dict())
+    def _predict(self, query: dict[str, str]) -> ServedPrediction:
+        q = parse_point_query(query)
+        return self.server.service.predict(
+            q.application,
+            q.cpus,
+            q.machine,
+            q.metric,
+            deadline_seconds=None if q.deadline_ms is None else q.deadline_ms / 1000.0,
+        )
 
     # ------------------------------------------------------------------
     def _json(

@@ -41,7 +41,7 @@ import os
 import threading
 from collections import OrderedDict
 from dataclasses import dataclass
-from typing import Callable
+from typing import Callable, NamedTuple
 
 from repro.apps.execution import GroundTruthExecutor
 from repro.core.errors import (
@@ -78,10 +78,14 @@ from repro.util.deadline import Deadline
 from repro.util.validation import nearest_ids
 
 __all__ = [
+    "PointQuery",
     "PredictionService",
+    "QueryError",
     "ServedPrediction",
     "STAGES",
     "catalog_doc",
+    "error_payload",
+    "parse_point_query",
     "validate_query",
 ]
 
@@ -121,6 +125,116 @@ def catalog_doc() -> dict:
             "applications": len(universe.applications),
         },
     }
+
+
+class QueryError(ValueError):
+    """A malformed ``GET /predict`` query; ``body`` is the HTTP 400 body."""
+
+    def __init__(self, body: dict):
+        super().__init__(body["message"])
+        self.body = body
+
+
+class PointQuery(NamedTuple):
+    """The parameters of one ``GET /predict`` request, typed."""
+
+    application: str
+    cpus: int
+    machine: str
+    metric: "int | str"
+    deadline_ms: float | None
+
+
+def parse_point_query(query: dict[str, str]) -> PointQuery:
+    """Parse ``GET /predict`` query parameters (both HTTP front ends).
+
+    Checks presence and number syntax only; the ids themselves resolve
+    in :func:`validate_query`.  Raises :class:`QueryError` carrying the
+    structured 400 body.
+    """
+    missing = [k for k in ("application", "cpus", "machine") if k not in query]
+    if missing:
+        raise QueryError(
+            {
+                "error": "MissingParameter",
+                "message": f"missing query parameter(s): {', '.join(missing)}",
+                "required": ["application", "cpus", "machine"],
+                "optional": ["metric", "deadline_ms"],
+            }
+        )
+    try:
+        cpus = int(query["cpus"])
+    except ValueError:
+        raise QueryError(
+            {
+                "error": "BadParameter",
+                "message": f"cpus must be an integer, got {query['cpus']!r}",
+            }
+        ) from None
+    deadline_ms = None
+    if "deadline_ms" in query:
+        try:
+            deadline_ms = float(query["deadline_ms"])
+        except ValueError:
+            raise QueryError(
+                {
+                    "error": "BadParameter",
+                    "message": (
+                        f"deadline_ms must be a number, got {query['deadline_ms']!r}"
+                    ),
+                }
+            ) from None
+    return PointQuery(
+        query["application"], cpus, query["machine"], query.get("metric", 9), deadline_ms
+    )
+
+
+def error_payload(exc: BaseException) -> dict:
+    """One exception → the HTTP-shaped ``{status, body, retry_after}``.
+
+    The one error mapping of the serving tier, used by the threaded
+    server, the fleet front end and the fleet workers' reply frames (it
+    is plain data, so it crosses the process boundary): malformed
+    queries and invalid ids 400, shed 429, every-rung-failed 503, any
+    other error a structured 500 — never a traceback page.
+    """
+    if isinstance(exc, QueryError):
+        return {"status": 400, "body": exc.body}
+    if isinstance(exc, UnknownIdError):
+        return {
+            "status": 400,
+            "body": {
+                "error": "UnknownId",
+                "message": str(exc),
+                "kind": exc.kind,
+                "value": str(exc.value),
+                "known": list(exc.known),
+                "nearest": list(exc.nearest),
+            },
+        }
+    if isinstance(exc, (ValueError, TypeError)):
+        return {"status": 400, "body": {"error": "BadParameter", "message": str(exc)}}
+    if isinstance(exc, OverloadedError):
+        return {
+            "status": 429,
+            "body": {
+                "error": "Overloaded",
+                "message": str(exc),
+                "retry_after_seconds": exc.retry_after,
+            },
+            "retry_after": exc.retry_after,
+        }
+    if isinstance(exc, ServiceUnavailableError):
+        return {
+            "status": 503,
+            "body": {
+                "error": "ServiceUnavailable",
+                "message": str(exc),
+                "retry_after_seconds": exc.retry_after,
+            },
+            "retry_after": exc.retry_after,
+        }
+    return {"status": 500, "body": {"error": type(exc).__name__, "message": str(exc)}}
 
 
 def validate_query(

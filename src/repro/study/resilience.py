@@ -13,9 +13,7 @@ throw the whole campaign away.  This module provides the pieces
   identity digest.  A crash mid-append at worst leaves a torn tail frame
   that recovery truncates.  Because chunk results are partition-invariant
   and every stochastic input is seed-stable, a resumed study is
-  byte-identical to an uninterrupted one.  Journals written by the
-  pre-event single-file format load transparently and are migrated on the
-  next ``record``.
+  byte-identical to an uninterrupted one.
 * :class:`CellFailure` — the quarantine record for a chunk that exhausted
   its retries, carrying the failure taxonomy class
   (:mod:`repro.core.errors`) so partial results stay diagnosable.
@@ -30,7 +28,6 @@ throw the whole campaign away.  This module provides the pieces
 from __future__ import annotations
 
 import hashlib
-import json
 import logging
 from concurrent.futures import CancelledError
 from concurrent.futures import TimeoutError as FuturesTimeoutError
@@ -45,13 +42,8 @@ from repro.core.errors import (
     WorkerCrashError,
 )
 from repro.events.log import EventLog
-from repro.events.snapshot import snapshot_path
 from repro.events.types import CellFailed, ChunkCompleted, StudyStarted
-from repro.util.retry import (
-    BACKOFF_BASE_SECONDS,
-    BACKOFF_CAP_SECONDS,
-    backoff_seconds,
-)
+from repro.util.retry import backoff_seconds
 
 __all__ = [
     "CellFailure",
@@ -65,10 +57,8 @@ __all__ = [
 log = logging.getLogger(__name__)
 
 #: Bumped whenever the checkpoint layout changes incompatibly.
-#: Version 2 is the event-log directory format; version 1 was the
-#: single-file JSONL journal, still readable (and migrated on write).
+#: Version 2 is the event-log directory format.
 CHECKPOINT_SCHEMA_VERSION = 2
-_LEGACY_SCHEMA_VERSION = 1
 
 #: Writer id of the study journal stream inside its log directory.
 CHECKPOINT_WRITER = "study"
@@ -87,9 +77,6 @@ _IDENTITY_FIELDS = (
     "cache_model",
 )
 
-# BACKOFF_BASE_SECONDS / BACKOFF_CAP_SECONDS / backoff_seconds now live in
-# repro.util.retry (shared with the serving layer); re-exported above for
-# existing importers.
 
 
 class CellFailure(NamedTuple):
@@ -140,11 +127,6 @@ def classify_failure(exc: BaseException) -> tuple[str, str]:
     return type(exc).__name__, str(exc)
 
 
-def _entry_checksum(doc: dict) -> str:
-    canonical = json.dumps(doc, sort_keys=True)
-    return hashlib.blake2b(canonical.encode("utf-8"), digest_size=16).hexdigest()
-
-
 class StudyCheckpoint:
     """The study journal: one event-log stream of completed chunks.
 
@@ -161,9 +143,9 @@ class StudyCheckpoint:
     * torn tail (killed mid-append) — the event log keeps the valid
       frame prefix and truncates the rest in place.
 
-    ``path`` may also name a journal written by the legacy single-file
-    format (schema version 1): it loads transparently and is migrated
-    into an event-log directory by the next ``record``.
+    A ``path`` that is a regular file is not a journal this program
+    wrote: :meth:`load` raises :class:`~repro.core.errors.CheckpointError`
+    naming it and leaves the file untouched.
 
     JSON float serialisation round-trips exactly (``repr`` semantics), so
     chunks replayed from a checkpoint are *byte-identical* to freshly
@@ -176,14 +158,21 @@ class StudyCheckpoint:
         self._log: EventLog | None = None
         self._started = False
         self._reset_needed = False
-        self._legacy_entries: dict[str, dict] | None = None
 
     # ------------------------------------------------------------------
     def load(self) -> dict[str, dict]:
-        """Validated entries keyed by chunk label (empty when unusable)."""
+        """Validated entries keyed by chunk label (empty when unusable).
+
+        Raises
+        ------
+        CheckpointError
+            ``path`` is a regular file rather than an event-log directory.
+        """
         if self.path.is_file():
-            self._legacy_entries = self._load_legacy()
-            return dict(self._legacy_entries)
+            raise CheckpointError(
+                f"checkpoint {self.path} is a regular file, not an event-log "
+                "directory; pass a new path or move the file away"
+            )
         if not self.path.is_dir():
             return {}
         event_log = self._open_log()
@@ -267,16 +256,11 @@ class StudyCheckpoint:
     def _ensure_log(self) -> EventLog:
         """The journal stream, ready to append chunks to.
 
-        Handles the three cold-start shapes: migrating a legacy
-        single-file journal, wiping a mismatched log, and starting the
-        stream with its ``StudyStarted`` identity event.
+        Handles the two cold-start shapes: wiping a mismatched log, and
+        starting the stream with its ``StudyStarted`` identity event.
         """
         if self._started and self._log is not None:
             return self._log
-        if self.path.is_file():
-            if self._legacy_entries is None:
-                self._legacy_entries = self._load_legacy()
-            self.path.unlink()
         if self._reset_needed:
             self._wipe_log_dir()
             self._reset_needed = False
@@ -289,16 +273,6 @@ class StudyCheckpoint:
                     schema_version=CHECKPOINT_SCHEMA_VERSION,
                 )
             )
-            for doc in (self._legacy_entries or {}).values():
-                event_log.append(
-                    ChunkCompleted(
-                        label=doc["label"],
-                        records=doc["records"],
-                        observed=doc["observed"],
-                        stages=doc.get("stages", {}),
-                    )
-                )
-        self._legacy_entries = None
         self._started = True
         return event_log
 
@@ -315,47 +289,3 @@ class StudyCheckpoint:
                 child.unlink()
             elif name.startswith("snapshot-") and name.endswith(".json"):
                 child.unlink()
-
-    # ------------------------------------------------------------------
-    # legacy single-file journal (schema version 1)
-    # ------------------------------------------------------------------
-    def _load_legacy(self) -> dict[str, dict]:
-        try:
-            text = self.path.read_text()
-        except OSError:
-            return {}
-        lines = text.splitlines()
-        if not lines:
-            return {}
-        try:
-            header = json.loads(lines[0])
-            usable = (
-                isinstance(header, dict)
-                and header.get("kind") == "study-checkpoint"
-                and header.get("schema_version") == _LEGACY_SCHEMA_VERSION
-                and header.get("config_digest") == self.config_digest
-            )
-        except json.JSONDecodeError:
-            usable = False
-        if not usable:
-            log.warning(
-                "checkpoint %s does not match this study (stale schema or "
-                "different config); it will be restarted", self.path,
-            )
-            return {}
-        entries: dict[str, dict] = {}
-        for offset, line in enumerate(lines[1:], start=2):
-            try:
-                doc = json.loads(line)
-                checksum = doc.pop("checksum")
-                if checksum != _entry_checksum(doc):
-                    raise ValueError("entry checksum mismatch")
-                label = doc["label"]
-            except (ValueError, KeyError, TypeError, AttributeError):
-                log.warning(
-                    "checkpoint %s: dropping torn tail from line %d",
-                    self.path, offset,
-                )
-                break
-            entries[label] = doc
-        return entries

@@ -565,9 +565,9 @@ def run_study(
     checkpoint:
         Path of the study journal
         (:class:`~repro.study.resilience.StudyCheckpoint`) — an
-        event-log directory of completed-chunk events (journals from the
-        legacy single-file format load and migrate transparently).  A
-        study killed mid-run resumes from the last journaled chunk on
+        event-log directory of completed-chunk events; a path naming a
+        regular file raises :class:`~repro.core.errors.CheckpointError`.
+        A study killed mid-run resumes from the last journaled chunk on
         the next call with the same path and config, and the resumed
         result is byte-identical to an uninterrupted run.  Delete the
         directory to force a full re-run.

@@ -11,6 +11,8 @@
 * :mod:`repro.tracing.mpidtrace` — MPIDTRACE: records MPI events.
 * :mod:`repro.tracing.static_analysis` — binary static analysis standing in
   for the paper's ILP/dependency block classifier (feeds Metric #9).
+* :mod:`repro.tracing.binfmt` / :mod:`repro.tracing.store` — the
+  checksummed binary record format and the on-disk cache built on it.
 
 Tracing happens once per (application, processor count) on the base system
 and is cached, mirroring the paper's "non-recurring cost" observation.
@@ -21,18 +23,8 @@ from repro.tracing.metasim import MetaSimTracer, clear_trace_cache, trace_applic
 from repro.tracing.counters import CounterTotals, count_operations
 from repro.tracing.mpidtrace import trace_communication
 from repro.tracing.static_analysis import DependencyClass, classify_blocks
-from repro.tracing.serialize import (
-    probes_from_json,
-    probes_to_json,
-    trace_from_json,
-    trace_to_json,
-)
 
 __all__ = [
-    "trace_to_json",
-    "trace_from_json",
-    "probes_to_json",
-    "probes_from_json",
     "ApplicationTrace",
     "BlockTrace",
     "CommRecord",

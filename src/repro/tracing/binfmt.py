@@ -1,11 +1,9 @@
 """Versioned, checksummed, memory-mappable binary trace/probe format.
 
-The JSON archive (:mod:`repro.tracing.serialize`) round-trips every trace
-and probe record through ``json.dumps``/``json.loads`` and a per-block
-Python object rebuild — ~40% overhead on a store-backed study.  This
-module stores the same payloads as contiguous NumPy dtype sections that
-:class:`~repro.tracing.store.TraceStore` loads zero-copy via ``np.memmap``
-straight into the tensorised execute/convolve pipeline.
+Traces and probe bundles are stored as contiguous NumPy dtype sections
+that :class:`~repro.tracing.store.TraceStore` loads zero-copy via
+``np.memmap`` straight into the tensorised execute/convolve pipeline (no
+JSON round trip and no per-block Python object rebuild on load).
 
 On-disk layout (little-endian)::
 
@@ -60,7 +58,6 @@ from repro.probes.results import (
     NetbenchResult,
     StreamResult,
 )
-from repro.tracing.serialize import SCHEMA_VERSION
 from repro.tracing.trace import (
     ApplicationTrace,
     BlockArrays,
@@ -72,6 +69,7 @@ from repro.tracing.trace import (
 __all__ = [
     "FORMAT_VERSION",
     "MAGIC",
+    "SCHEMA_VERSION",
     "MappedTrace",
     "trace_to_bytes",
     "trace_from_bytes",
@@ -84,6 +82,12 @@ __all__ = [
 MAGIC = b"RPBF"
 #: Bumped whenever the binary layout changes incompatibly.
 FORMAT_VERSION = 1
+
+#: Version of the payload schema (the identity fields and section set of
+#: a trace or probe record), carried in every header.  It also salts the
+#: store's entry digests (:func:`~repro.tracing.store.trace_key`), so
+#: bumping it re-keys every cached entry.
+SCHEMA_VERSION = 2
 
 KIND_TRACE = 1
 KIND_PROBES = 2

@@ -154,74 +154,32 @@ def test_bad_fault_spec_rejected(capsys):
 # ---------------------------------------------------------------------------
 
 
-def _seed_legacy_store(root):
-    """Populate a cache dir with legacy JSON entries plus one corrupt file."""
-    import json
-
-    from repro.apps.suite import get_application
+def _seed_store(root):
+    """Populate a cache dir with one trace, one probe bundle and a stray file."""
     from repro.machines import get_machine
     from repro.probes.suite import probe_machine
+    from repro.scenarios import get_application
     from repro.tracing.metasim import trace_application
-    from repro.tracing.serialize import probes_to_json, trace_to_json
-    from repro.tracing.store import STORE_SCHEMA_VERSION, TraceStore, _checksum
+    from repro.tracing.store import TraceStore
 
     store = TraceStore(root)
     base = get_machine("NAVO_P3")
-    trace = trace_application(get_application("AVUS-standard"), 64, base, use_cache=False)
-    probes = probe_machine(base, use_cache=False)
-
-    def envelope(payload):
-        return json.dumps(
-            {
-                "kind": "store-entry",
-                "store_schema": STORE_SCHEMA_VERSION,
-                "checksum": _checksum(payload),
-                "payload": payload,
-            }
-        )
-
-    stem = store._trace_stem(
-        trace.application, trace.cpus, trace.base_machine, trace.sample_size,
-        False, "analytic",
+    trace_application(
+        get_application("AVUS-standard"), 64, base, use_cache=False, store=store
     )
-    stem.with_suffix(".json").write_text(envelope(trace_to_json(trace)))
-    store._probes_stem(base).with_suffix(".json").write_text(
-        envelope(probes_to_json(probes))
-    )
+    probe_machine(base, use_cache=False, store=store)
+    store.flush()
+    # Not an entry (e.g. the pre-binary store's JSON): never counted.
     (store.traces_dir / "deadbeef.json").write_text("{not json")
-    return trace, base
 
 
 def test_store_info_reports_format_and_counts(tmp_path, capsys):
-    _seed_legacy_store(tmp_path)
+    _seed_store(tmp_path)
     assert main(["store", "info", "--cache-dir", str(tmp_path)]) == 0
     out = capsys.readouterr().out
     assert "binary format" in out and "v1" in out
-    assert "2 legacy JSON" in out  # real trace + the corrupt decoy
-    assert "0 binary" in out
-
-
-def test_store_migrate_converts_and_heals(tmp_path, capsys):
-    trace, base = _seed_legacy_store(tmp_path)
-    assert main(["store", "migrate", "--cache-dir", str(tmp_path)]) == 0
-    out = capsys.readouterr().out
-    assert "2 entries converted to binary" in out
-    assert "1 corrupt entry invalidated" in out
-
-    # the migrated entries are loadable and exact; no legacy files remain
-    from repro.tracing.store import TraceStore
-
-    store = TraceStore(tmp_path)
-    reloaded = store.load_trace(
-        trace.application, trace.cpus, trace.base_machine, trace.sample_size
-    )
-    assert reloaded == trace
-    assert store.load_probes(base) is not None
-    assert not list(tmp_path.rglob("*.json"))
-
-    # a second migrate is a no-op
-    assert main(["store", "migrate", "--cache-dir", str(tmp_path)]) == 0
-    assert "0 entries converted" in capsys.readouterr().out
+    assert "payload schema  : v2" in out
+    assert out.count(" 1 binary, ") == 2  # one trace, one probe bundle
 
 
 def test_store_requires_action_and_cache_dir(tmp_path, capsys):
@@ -229,13 +187,13 @@ def test_store_requires_action_and_cache_dir(tmp_path, capsys):
         main(["store", "--cache-dir", str(tmp_path)])
     assert "expected an action" in capsys.readouterr().err
     with pytest.raises(SystemExit):
-        main(["store", "migrate"])
+        main(["store", "info"])
     assert "--cache-dir is required" in capsys.readouterr().err
 
 
 def test_store_action_rejected_for_other_artifacts(capsys):
     with pytest.raises(SystemExit):
-        main(["table4", "migrate"])
+        main(["table4", "info"])
     assert (
         "only applies to the 'store', 'events', 'sim' or 'catalog' artifact"
         in capsys.readouterr().err

@@ -42,8 +42,8 @@ def test_predict_detail_provenance(predictor):
     assert detail.base_seconds == predictor.base_time("HYCOM-standard", 96)
 
 
-def test_predict_all_metrics(predictor):
-    values = predictor.predict_all_metrics("RFCTH-standard", "ARL_Xeon", 32)
+def test_predict_row_defaults_to_table3_metrics(predictor):
+    values = predictor.predict_row("RFCTH-standard", "ARL_Xeon", 32)
     assert sorted(values) == list(range(1, 10))
     assert values[1] == pytest.approx(values[4], rel=1e-9)  # M1 == M4
 

@@ -4,9 +4,7 @@ The staged-engine + declarative-registry refactor rewired every pipeline
 (predictor facade, study runner, serve service) through one execution
 core.  ``tests/golden/study_records.json`` is the full default study
 matrix captured from the pre-refactor code; these tests pin the rewired
-stack to it byte-for-byte — including through a checkpoint kill/resume —
-and pin the deprecated ``predict_all_metrics`` alias to the canonical
-``predict_row`` path.
+stack to it byte-for-byte — including through a checkpoint kill/resume.
 """
 
 import json
@@ -117,17 +115,8 @@ def test_store_parallel_study_matches_golden(golden, tmp_path):
 
 
 # ---------------------------------------------------------------------------
-# deprecated alias pin
+# predictor facade
 # ---------------------------------------------------------------------------
-
-
-def test_predict_all_metrics_is_equivalent_to_predict_row():
-    p = PerformancePredictor(noise=False)
-    row = p.predict_row("AVUS-standard", "ARL_Opteron", 32)
-    with pytest.deprecated_call():
-        legacy = p.predict_all_metrics("AVUS-standard", "ARL_Opteron", 32)
-    assert legacy == row  # same keys, bit-identical values
-    assert set(row) == set(range(1, 10))
 
 
 def test_predict_row_accepts_registry_names():

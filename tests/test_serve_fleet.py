@@ -198,6 +198,35 @@ def test_point_validation_is_frontend_side(fleet_server):
     assert "ARL_Xeon" in body["machines"]
 
 
+def test_point_errors_match_the_single_process_server(fleet_server):
+    """Both front ends share one query parser and one error mapping."""
+    import threading
+
+    from repro.serve.httpd import make_server
+    from repro.serve.service import PredictionService
+
+    single = make_server("127.0.0.1", 0, PredictionService(noise=False))
+    thread = threading.Thread(target=single.serve_forever, daemon=True)
+    thread.start()
+    single.address = single.server_address[:2]
+    try:
+        for path in [
+            "/predict?cpus=64&machine=ARL_Xeon",
+            PREDICT.replace("cpus=64", "cpus=banana"),
+            PREDICT.replace("cpus=64", "cpus=99999"),
+            PREDICT + "&metric=42",
+            PREDICT + "&deadline_ms=soon",
+            PREDICT.replace("AVUS-standard", "AVUS-typo"),
+        ]:
+            expected = get(single, path)[:2]
+            assert expected[0] == 400, path
+            assert get(fleet_server, path)[:2] == expected, path
+    finally:
+        single.shutdown()
+        single.server_close()
+        thread.join(timeout=5)
+
+
 def test_healthz_aggregates_the_fleet(fleet_server):
     status, body, _ = get(fleet_server, "/healthz")
     assert status == 200
@@ -383,3 +412,47 @@ def test_fleet_events_stats_and_worker_audit(tmp_path_factory):
     writers = {stream["writer"] for stream in report["streams"]}
     assert "frontend" in writers
     assert any(writer.startswith("w") for writer in writers - {"frontend"})
+
+
+# ---------------------------------------------------------------------------
+# shutdown: socket EOF, never SIGTERM; no handler cancelled mid-read
+# ---------------------------------------------------------------------------
+def test_stop_shuts_workers_down_by_socket_eof(monkeypatch):
+    import multiprocessing.process
+
+    terminated = []
+    real_terminate = multiprocessing.process.BaseProcess.terminate
+
+    def counting_terminate(self):
+        terminated.append(self.name)
+        real_terminate(self)
+
+    monkeypatch.setattr(
+        multiprocessing.process.BaseProcess, "terminate", counting_terminate
+    )
+    server = FleetServer(2)
+    server.start()
+    procs = [handle.proc for handle in server.fleet.workers.values()]
+    server.stop()
+    assert terminated == []
+    assert [proc.exitcode for proc in procs] == [0, 0]
+
+
+def test_stop_with_idle_keepalive_client_logs_no_error(caplog):
+    import http.client
+    import logging
+
+    server = FleetServer(2)
+    host, port = server.start()
+    conn = http.client.HTTPConnection(host, port, timeout=30)
+    try:
+        conn.request("GET", "/healthz")
+        response = conn.getresponse()
+        response.read()
+        assert response.status == 200
+        # The connection stays open and idle while the fleet stops.
+        with caplog.at_level(logging.ERROR, logger="asyncio"):
+            server.stop()
+    finally:
+        conn.close()
+    assert [r for r in caplog.records if r.name == "asyncio"] == []

@@ -7,11 +7,10 @@ so the recovery paths can be asserted *byte-identical* to a fault-free
 study rather than merely "it didn't crash".
 """
 
-import json
-
 import pytest
 
 from repro.core.errors import (
+    CheckpointError,
     ChunkTimeoutError,
     ReproError,
     StudyAbortedError,
@@ -272,59 +271,14 @@ def test_checkpoint_torn_tail_is_dropped_and_compacted(tmp_path, clean):
     assert_bit_identical(resumed, clean)
 
 
-def test_legacy_single_file_checkpoint_migrates(tmp_path, clean, monkeypatch):
-    """A schema-v1 single-file journal loads transparently, resumes the
-    study byte-identically, and is migrated into an event-log directory."""
-    import repro.study.runner as runner_mod
-    from repro.events import replay_dir
-    from repro.study.resilience import _entry_checksum
-
-    # Capture two real chunk documents from an aborted event-log run...
-    src = tmp_path / "src.ckpt"
-    with pytest.raises(StudyAbortedError):
-        run_study(REDUCED, checkpoint=src, faults=FaultPlan(abort_after=2))
-    chunks = [
-        ev for _, _, ev in replay_dir(src) if type(ev).kind == "chunk-completed"
-    ]
-    assert len(chunks) == 2
-
-    # ...and rewrite them in the legacy v1 single-file format.
-    ck = tmp_path / "legacy.ckpt"
-    lines = [
-        json.dumps(
-            {
-                "kind": "study-checkpoint",
-                "schema_version": 1,
-                "config_digest": config_digest(REDUCED),
-            }
-        )
-    ]
-    for ev in chunks:
-        doc = {
-            "label": ev.label,
-            "records": ev.records,
-            "observed": ev.observed,
-            "stages": ev.stages,
-        }
-        doc["checksum"] = _entry_checksum(dict(doc))
-        lines.append(json.dumps(doc, sort_keys=True))
-    ck.write_text("\n".join(lines) + "\n")
-
-    computed = []
-    original = runner_mod._run_submatrix
-
-    def spy(cfg, labels, systems, store, timer=None):
-        computed.extend(labels)
-        return original(cfg, labels, systems, store, timer)
-
-    monkeypatch.setattr(runner_mod, "_run_submatrix", spy)
-    resumed = run_study(REDUCED, checkpoint=ck)
-    assert len(computed) == 1  # only the chunk the legacy journal lacked
-    assert_bit_identical(resumed, clean)
-    # The single file became an event-log directory holding everything.
-    assert ck.is_dir()
-    kinds = [type(ev).kind for _, _, ev in replay_dir(ck)]
-    assert kinds == ["study-started"] + ["chunk-completed"] * 3
+def test_regular_file_checkpoint_path_raises_and_keeps_the_file(tmp_path):
+    """A checkpoint path naming a regular file is not a journal this
+    program wrote: a typed error naming it, and the file left alone."""
+    ck = tmp_path / "study.ckpt"
+    ck.write_text('{"kind": "study-checkpoint", "schema_version": 1}\n')
+    with pytest.raises(CheckpointError, match="study.ckpt"):
+        run_study(REDUCED, checkpoint=ck)
+    assert ck.read_text() == '{"kind": "study-checkpoint", "schema_version": 1}\n'
 
 
 def test_quarantined_chunks_leave_audit_events(tmp_path):

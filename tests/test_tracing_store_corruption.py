@@ -2,28 +2,30 @@
 
 Every damage shape a shared cache directory can exhibit — truncated
 binary entries (length mismatch), flipped payload bytes (checksum
-mismatch), foreign format versions, bare-JSON files at the binary path,
-outright garbage, and every legacy-JSON failure mode (stale payload
-schema, stale envelope, pre-envelope payloads) — must be detected on
-load, logged, deleted, and reported as a miss so the caller recomputes.
+mismatch), foreign format versions, stale payload schemas, JSON text at
+the binary path, outright garbage — must be detected on load, logged,
+deleted, and reported as a miss so the caller recomputes.  Files that
+are not ``.rpb`` entries (such as the ``.json`` entries of the
+pre-binary store) are never read at all.
 """
 
 import json
+import shutil
 import struct
 import time
+from pathlib import Path
 
 import pytest
 
 from repro.probes.suite import probe_machine
 from repro.tracing import binfmt
-from repro.tracing.metasim import trace_application
-from repro.tracing.serialize import trace_to_json
-from repro.tracing.store import (
-    STORE_SCHEMA_VERSION,
-    TraceStore,
-    _checksum,
-)
+from repro.tracing.metasim import DEFAULT_SAMPLE_SIZE, trace_application
+from repro.tracing.store import TraceStore
 from repro.util.faults import FaultPlan
+
+#: A store directory (one AVUS-standard@64 trace, the base system's
+#: probes) written before ``SCHEMA_VERSION`` moved into ``binfmt``.
+FIXTURE_STORE = Path(__file__).parent / "fixtures" / "binary_store"
 
 
 @pytest.fixture()
@@ -44,17 +46,6 @@ def _trace_file(store):
 def _load(store, trace):
     return store.load_trace(
         trace.application, trace.cpus, trace.base_machine, trace.sample_size, False
-    )
-
-
-def _legacy_envelope(payload: str) -> str:
-    return json.dumps(
-        {
-            "kind": "store-entry",
-            "store_schema": STORE_SCHEMA_VERSION,
-            "checksum": _checksum(payload),
-            "payload": payload,
-        }
     )
 
 
@@ -103,10 +94,10 @@ def test_foreign_format_version_invalidates(stored):
 
 
 def test_bare_json_at_binary_path_invalidates(stored, base_machine, avus):
-    # A pre-binary payload dropped at the binary path: bad magic.
+    # A JSON document dropped at the binary path: bad magic.
     store, trace = stored
     path = _trace_file(store)
-    path.write_bytes(trace_to_json(trace).encode())
+    path.write_bytes(json.dumps({"schema_version": 2, "kind": "trace"}).encode())
     assert _load(store, trace) is None
     assert store.invalidated == 1
 
@@ -127,63 +118,55 @@ def test_corrupt_probe_entry_invalidates(stored, base_machine):
     assert not path.exists()
 
 
-# ---------------------------------------------------------------------------
-# legacy-JSON damage shapes (mixed-format directories keep healing)
-# ---------------------------------------------------------------------------
-
-
-def _as_legacy(store, trace, payload: str):
-    """Replace the binary entry with a legacy JSON entry holding payload."""
-    path = _trace_file(store)
-    legacy = path.with_suffix(".json")
-    legacy.write_text(_legacy_envelope(payload))
-    path.unlink()
-    return legacy
-
-
-def test_stale_payload_schema_version_invalidates(stored, base_machine, avus):
-    store, trace = stored
-    doc = json.loads(trace_to_json(trace))
-    doc["schema_version"] = 1  # an old build's artifact
-    legacy = _as_legacy(store, trace, json.dumps(doc))  # checksum fresh: only schema stale
-    assert _load(store, trace) is None
-    assert not legacy.exists()
-    assert store.invalidated == 1
-
-
-def test_stale_envelope_schema_invalidates(stored):
-    store, trace = stored
-    legacy = _as_legacy(store, trace, trace_to_json(trace))
-    doc = json.loads(legacy.read_text())
-    doc["store_schema"] = STORE_SCHEMA_VERSION + 1
-    legacy.write_text(json.dumps(doc))
-    assert _load(store, trace) is None
-    assert store.invalidated == 1
-
-
-def test_pre_envelope_entry_invalidates(stored, base_machine, avus):
-    # An entry from before the checksummed envelope existed: bare payload.
+def test_stale_payload_schema_version_invalidates(stored, monkeypatch):
+    # An entry whose checksum is intact but whose header carries another
+    # payload schema: an old or future build's artifact.
     store, trace = stored
     path = _trace_file(store)
-    path.with_suffix(".json").write_text(trace_to_json(trace))
-    path.unlink()
+    monkeypatch.setattr(binfmt, "SCHEMA_VERSION", binfmt.SCHEMA_VERSION - 1)
+    path.write_bytes(binfmt.trace_to_bytes(trace))
+    monkeypatch.undo()
     assert _load(store, trace) is None
+    assert not path.exists()
     assert store.invalidated == 1
 
 
-def test_valid_legacy_entry_loads_and_migrates(stored):
+# ---------------------------------------------------------------------------
+# files that are not entries
+# ---------------------------------------------------------------------------
+
+
+def test_stray_json_entry_is_ignored_and_retraced(stored, base_machine, avus):
+    """A ``<digest>.json`` file (the pre-binary store's entry) is never read."""
     store, trace = stored
-    legacy = _as_legacy(store, trace, trace_to_json(trace))
-    loaded = _load(store, trace)
-    assert loaded == trace
-    assert store.invalidated == 0
-    # migrate-on-first-touch: the legacy file is gone, a binary twin exists
-    assert not legacy.exists()
-    binary = legacy.with_suffix(".rpb")
-    assert binary.exists()
-    assert store.load_trace(
+    path = _trace_file(store)
+    stray = path.with_suffix(".json")
+    stray.write_text(json.dumps({"kind": "store-entry", "payload": "{}"}))
+    path.unlink()
+    assert not store.has_trace(
         trace.application, trace.cpus, trace.base_machine, trace.sample_size
-    ) == trace
+    )
+    assert _load(store, trace) is None
+    retraced = trace_application(avus, 64, base_machine, use_cache=False, store=store)
+    assert retraced == trace
+    store.flush()
+    assert _load(store, trace) == trace
+    assert store.invalidated == 0
+    assert stray.exists()  # not ours to delete
+    assert store.stats()["traces"] == {"binary": 1, "bytes": path.stat().st_size}
+
+
+def test_store_written_before_schema_move_loads_clean(tmp_path, base_machine, avus):
+    """Entries from before ``SCHEMA_VERSION`` moved keep their keys and load."""
+    shutil.copytree(FIXTURE_STORE, tmp_path / "store")
+    store = TraceStore(tmp_path / "store")
+    loaded = store.load_trace("AVUS-standard", 64, base_machine.name, DEFAULT_SAMPLE_SIZE)
+    assert loaded == trace_application(avus, 64, base_machine, use_cache=False)
+    probes = store.load_probes(base_machine)
+    assert probes is not None
+    fresh = probe_machine(base_machine, use_cache=False)
+    assert binfmt.probes_to_bytes(probes) == binfmt.probes_to_bytes(fresh)
+    assert store.invalidated == 0
 
 
 # ---------------------------------------------------------------------------
